@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test verify vet race verify-race lint-docs bench bench-engine bench-json bench-diff figures trace-smoke timeline-smoke overload-smoke economics-smoke
+.PHONY: build test verify vet race verify-race fmt-check perfbench-check lint-docs bench bench-engine bench-json bench-diff figures trace-smoke timeline-smoke overload-smoke economics-smoke
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,15 @@ race:
 
 ## Tier-2 verify: vet + race detector over the whole tree.
 verify-race: vet race
+
+## Formatting gate: gofmt must have nothing to rewrite.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needs to rewrite:"; echo "$$out"; exit 1; fi
+
+## The benchmark harness is its own module (perfbench/go.mod), so tier-1
+## never builds it; vet and short-test it against the current tree.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 ## Documentation lint: every package must carry a package doc comment.
 lint-docs:

@@ -288,131 +288,9 @@ func (o Options) build() (system.Config, error) {
 	return cfg, nil
 }
 
-// Metrics summarizes one run's measurement window.
-type Metrics struct {
-	Mode     string
-	Workload string
-
-	// SimulatedNs is the measured window of simulated time.
-	SimulatedNs int64
-	// Jobs is the number of requests completed in the window.
-	Jobs uint64
-	// ThroughputJPS is completed requests per simulated second.
-	ThroughputJPS float64
-
-	// Latency percentiles in nanoseconds. Service covers first-schedule
-	// to completion (includes flash waits, excludes queue time); Response
-	// covers arrival to completion.
-	MeanServiceNs, P50ServiceNs, P99ServiceNs int64
-	P50ResponseNs, P99ResponseNs              int64
-	P50QueueNs, P99QueueNs                    int64
-
-	// DRAMCacheMissRatio is misses over DRAM-cache accesses in the
-	// window.
-	DRAMCacheMissRatio float64
-	// MeanMissIntervalNs is the average per-core spacing between DRAM-
-	// cache misses (the paper's 5-25 us calibration target).
-	MeanMissIntervalNs int64
-
-	FlashReads, FlashWrites uint64
-	GCRuns                  uint64
-	GCBlockedFraction       float64
-	ForcedSyncCount         uint64
-	// P99FlashReadNs is the device-level read tail (queueing + retry
-	// ladder + channel transfer), cumulative over the run.
-	P99FlashReadNs int64
-
-	// Fault-injection observables; all zero when RBER and PEFailProb are 0.
-	FlashRetriedReads   uint64
-	FlashUncorrectables uint64
-	FlashRecovered      uint64
-	FlashRemapMoves     uint64
-	FlashBadBlocks      uint64
-	BCRetries           uint64
-	BCTimeouts          uint64
-	BCFallbacks         uint64
-	WriteAmplification  float64
-
-	// Admission-filter observables; all zero under admit-all.
-	AdmissionBypassed uint64 // fetches diverted to the bypass ring
-	BypassHits        uint64 // accesses served from the bypass ring
-	BypassWritebacks  uint64 // dirty ring evictions written to flash
-	// FlashPrograms is total page programs in the window (host writes +
-	// GC moves + remap copies) — the wear quantity the economics model
-	// prices.
-	FlashPrograms uint64
-
-	// Open-loop admission and deadline observables (RunOverload runs; all
-	// zero for closed-loop and plain Poisson runs).
-	Offered        uint64 // arrivals the source generated in the window
-	Admitted       uint64 // arrivals past the front door
-	AdmissionSheds uint64 // rejected by the admission controller
-	QueueFullDrops uint64 // rejected by the bounded admission queue
-	ExpiredDrops   uint64 // shed at dispatch: deadline passed while queued
-	DeadlineMisses uint64 // served, but past their deadline
-	GoodJobs       uint64 // served within their deadline
-	ExpiredInFlash uint64 // deadline expired during a flash wait
-	// GoodputJPS is within-deadline completions per simulated second
-	// (zero when the run had no deadlines).
-	GoodputJPS float64
-
-	// Counters is the metrics registry's full window view: every
-	// registered counter's delta over the measurement window, keyed by
-	// dotted name (system.*, dramcache.*, flash.*, uthread.coreN.*). The
-	// named fields above are stable views into the same registry.
-	Counters map[string]uint64
-}
-
-func fromResult(r system.Result) Metrics {
-	return Metrics{
-		Mode:               r.Mode,
-		Workload:           r.Workload,
-		SimulatedNs:        r.SimulatedNs,
-		Jobs:               r.Jobs,
-		ThroughputJPS:      r.ThroughputJPS,
-		MeanServiceNs:      r.MeanServiceNs,
-		P50ServiceNs:       r.P50ServiceNs,
-		P99ServiceNs:       r.P99ServiceNs,
-		P50ResponseNs:      r.P50RespNs,
-		P99ResponseNs:      r.P99RespNs,
-		P50QueueNs:         r.P50QueueNs,
-		P99QueueNs:         r.P99QueueNs,
-		DRAMCacheMissRatio: r.DRAMCacheMissRatio,
-		MeanMissIntervalNs: r.MeanMissIntervalNs,
-		FlashReads:         r.FlashReads,
-		FlashWrites:        r.FlashWrites,
-		GCRuns:             r.GCRuns,
-		GCBlockedFraction:  r.GCBlockedFraction,
-		ForcedSyncCount:    r.ForcedSyncCount,
-		P99FlashReadNs:     r.P99FlashReadNs,
-
-		FlashRetriedReads:   r.FlashRetriedReads,
-		FlashUncorrectables: r.FlashUncorrectables,
-		FlashRecovered:      r.FlashRecovered,
-		FlashRemapMoves:     r.FlashRemapMoves,
-		FlashBadBlocks:      r.FlashBadBlocks,
-		BCRetries:           r.BCRetries,
-		BCTimeouts:          r.BCTimeouts,
-		BCFallbacks:         r.BCFallbacks,
-		WriteAmplification:  r.WriteAmplification,
-		AdmissionBypassed:   r.AdmissionBypassed,
-		BypassHits:          r.BypassHits,
-		BypassWritebacks:    r.BypassWritebacks,
-		FlashPrograms:       r.FlashPrograms,
-
-		Offered:        r.Offered,
-		Admitted:       r.Admitted,
-		AdmissionSheds: r.AdmissionSheds,
-		QueueFullDrops: r.QueueFullDrops,
-		ExpiredDrops:   r.ExpiredDrops,
-		DeadlineMisses: r.DeadlineMisses,
-		GoodJobs:       r.GoodJobs,
-		ExpiredInFlash: r.ExpiredInFlash,
-		GoodputJPS:     r.GoodputJPS,
-
-		Counters: r.Counters,
-	}
-}
+// Metrics summarizes one run's measurement window; see system.Result for
+// the field semantics.
+type Metrics = system.Result
 
 // simRuns counts completed simulation points process-wide (each Machine
 // run is one point). cmd/astribench reports it as points/sec so sweep
@@ -449,7 +327,7 @@ func NewMachine(o Options) (*Machine, error) {
 // inflight requests outstanding per core, for warmupNs of cache warming
 // followed by a measureNs window.
 func (m *Machine) RunSaturated(inflight int, warmupNs, measureNs int64) Metrics {
-	return m.profiled(func() system.Result {
+	return m.profiled(func() Metrics {
 		return m.sys.RunClosedLoop(inflight, warmupNs, measureNs)
 	})
 }
@@ -458,7 +336,7 @@ func (m *Machine) RunSaturated(inflight int, warmupNs, measureNs int64) Metrics 
 // given mean inter-arrival gap (nanoseconds, across the whole machine) —
 // the paper's tail-latency methodology (Figure 10).
 func (m *Machine) RunPoisson(meanGapNs float64, warmupNs, measureNs int64) Metrics {
-	return m.profiled(func() system.Result {
+	return m.profiled(func() Metrics {
 		return m.sys.RunOpenLoop(meanGapNs, warmupNs, measureNs)
 	})
 }
@@ -581,7 +459,7 @@ func (m *Machine) RunOverload(r OverloadRun) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
-	return m.profiled(func() system.Result {
+	return m.profiled(func() Metrics {
 		return m.sys.RunSource(src)
 	}), nil
 }

@@ -39,7 +39,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "sweep worker goroutines (0 = auto: ASTRIFLASH_WORKERS, then NumCPU); results are identical for any value")
 		plot      = flag.Bool("plot", false, "render fig3/fig10 as ASCII charts too")
 		timeout   = flag.Duration("timeout", 0, "abort any single sweep point after this much wall-clock time, with now/pending/fired engine diagnostics (0 = no limit)")
-		hybrid    = flag.Bool("hybrid", false, "advance uncontended sweep points analytically from a calibration window (M/M/k validity gate, full-sim fallback); currently applies to fig2")
 		traceOut  = flag.String("trace", "", "instead of -exp, run a fig-10-style traced run (DRAM-only saturated baseline + AstriFlash under Poisson load) and write its span trace to this file; analyze with 'astritrace analyze -in FILE'")
 		tlOut     = flag.String("timeline", "", "instead of -exp, run a fig-10-style sampled run and write its timeline CSV to this file; view with 'astritrace timeline -in FILE'")
 		omOut     = flag.String("openmetrics", "", "with -timeline, also export the capture in OpenMetrics text format to this file")
@@ -104,13 +103,6 @@ func main() {
 			return astriflash.RenderFig1(pts), nil
 		}},
 		{"fig2", func() (string, error) {
-			if *hybrid {
-				pts, infos, err := astriflash.Fig2PagingScalingHybrid(cfg, "tatp", nil, astriflash.HybridOptions{})
-				if err != nil {
-					return "", err
-				}
-				return astriflash.RenderFig2(pts) + "\n" + astriflash.RenderHybridInfo(infos), nil
-			}
 			pts, err := astriflash.Fig2PagingScaling(cfg, "tatp", nil)
 			if err != nil {
 				return "", err

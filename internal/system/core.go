@@ -62,9 +62,9 @@ type coreState struct {
 	// ring over one slice so steady-state push/pop never reallocates.
 	fifo     []*jobState
 	fifoHead int
-	cur      *jobState // job owning the core right now
-	curTh *uthread.Thread    // its thread (user-thread modes)
-	curTk *ospaging.Task     // its task (OS-Swap)
+	cur      *jobState       // job owning the core right now
+	curTh    *uthread.Thread // its thread (user-thread modes)
+	curTk    *ospaging.Task  // its task (OS-Swap)
 
 	busy       bool
 	busySince  sim.Time
