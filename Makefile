@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test verify vet race verify-race fmt-check perfbench-check lint-docs bench bench-engine bench-json bench-diff figures trace-smoke timeline-smoke overload-smoke economics-smoke
+.PHONY: build test verify vet race verify-race fmt-check perfbench-check lint-docs bench bench-engine bench-smoke bench-json bench-diff figures trace-smoke timeline-smoke overload-smoke economics-smoke
 
 build:
 	$(GO) build ./...
@@ -40,9 +40,14 @@ perfbench-check:
 lint-docs:
 	$(GO) run ./tools/lintdocs
 
-## Engine/stats microbenchmarks (allocation counts included).
+## Engine, Zipf and stats microbenchmarks (allocation counts included).
 bench-engine:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkHistogram' -benchmem ./internal/sim ./internal/stats
+	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkZipf|BenchmarkHotCold|BenchmarkHistogram' -benchmem ./internal/sim ./internal/mem ./internal/stats
+
+## The same microbenchmarks, one iteration each: CI runs this so a
+## benchmark that no longer compiles or panics fails the build.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkZipf|BenchmarkHotCold|BenchmarkHistogram' -benchtime 1x ./internal/sim ./internal/mem ./internal/stats
 
 ## The full figure-suite benchmark harness.
 bench:

@@ -24,6 +24,8 @@ type Zipf struct {
 	zetan float64
 	eta   float64
 	zeta2 float64
+	// rank1 is the uz threshold below which Rank returns 1, fixed by theta.
+	rank1 float64
 	rng   *sim.RNG
 	// scramble mixes rank into position so popular items are not
 	// physically adjacent.
@@ -54,6 +56,7 @@ func NewZipf(rng *sim.RNG, n uint64, theta float64) *Zipf {
 	z.zeta2 = zetaApprox(2, theta)
 	z.zetan = zetaApprox(n, theta)
 	z.alpha = 1 / (1 - theta)
+	z.rank1 = 1 + math.Pow(0.5, theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
 	return z
 }
@@ -87,7 +90,7 @@ func (z *Zipf) Rank() uint64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.rank1 {
 		return 1
 	}
 	r := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

@@ -74,6 +74,11 @@ type Engine struct {
 	// by value; the slice doubles as a free list, since popped slots are
 	// reused by later pushes without reallocating.
 	events []event
+	// hole is set while events[0] is the stale slot of the event Step is
+	// firing: every other entry is a valid heap under an empty root. The
+	// next push fills the root; if none does, Step closes the hole with an
+	// ordinary pop (or, when a callback panicked, the next Step or RunUntil).
+	hole bool
 	// Stopped is set by Stop; Run drains no further events once set.
 	stopped bool
 	// fired counts executed events, for diagnostics and runaway detection.
@@ -102,13 +107,26 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of queued, unexecuted events.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int {
+	if e.hole {
+		return len(e.events) - 1
+	}
+	return len(e.events)
+}
 
-// push appends ev and sifts it up the 4-ary heap. The sift moves
-// displaced parents down into the hole instead of swapping, so each
-// level costs one event copy rather than two; the comparison sequence
-// (and therefore heap layout and determinism) is identical.
+// push inserts ev into the heap. While Step has the fired event's slot
+// armed as a hole, ev fills the root and sifts down: a callback's first
+// push is almost always a near-future event, so it settles within a level
+// or two, and the pop the fired event would have cost is never paid.
+// Otherwise ev is appended and sifts up. Both sifts move displaced
+// entries into the hole instead of swapping, so each level costs one
+// event copy rather than two.
 func (e *Engine) push(ev event) {
+	if e.hole {
+		e.hole = false
+		siftDown(e.events, ev)
+		return
+	}
 	h := append(e.events, ev)
 	i := len(h) - 1
 	for i > 0 {
@@ -123,15 +141,10 @@ func (e *Engine) push(ev event) {
 	e.events = h
 }
 
-// pop removes and returns the minimum event, sifting the last entry down
-// with the same hole-moving technique as push.
-func (e *Engine) pop() event {
-	h := e.events
-	root := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{} // drop callback references so fired closures can be GC'd
-	h = h[:n]
+// siftDown places ev into the hole at the root of h (len(h) > 0), moving
+// smaller children up until ev precedes every child of its slot.
+func siftDown(h []event, ev event) {
+	n := len(h)
 	i := 0
 	for {
 		c := i<<2 + 1
@@ -148,17 +161,28 @@ func (e *Engine) pop() event {
 				best = j
 			}
 		}
-		if !h[best].before(&last) {
+		if !h[best].before(&ev) {
 			break
 		}
 		h[i] = h[best]
 		i = best
 	}
+	h[i] = ev
+}
+
+// closeHole removes the stale root slot Step left armed: the last entry
+// fills it and sifts down, exactly an ordinary heap pop.
+func (e *Engine) closeHole() {
+	e.hole = false
+	h := e.events
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop callback references so fired closures can be GC'd
+	h = h[:n]
 	if n > 0 {
-		h[i] = last
+		siftDown(h, last)
 	}
 	e.events = h
-	return root
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is an
@@ -220,11 +244,22 @@ func (e *Engine) AfterFunc(d Time, fn func(any), arg any) {
 
 // Step executes the next event, if any, advancing the clock to its time.
 // It reports whether an event was executed.
+//
+// The fired event's slot is not popped before its callback runs; it
+// becomes a hole that the callback's first push fills (see push). The
+// (at, pri, seq) key is a strict total order, so every valid heap fires
+// the same sequence and the merged pop/push leaves results unchanged.
 func (e *Engine) Step() bool {
+	if e.hole {
+		// The previous callback panicked, or this Step is nested inside
+		// one: drop the fired slot so it cannot fire again.
+		e.closeHole()
+	}
 	if e.stopped || len(e.events) == 0 {
 		return false
 	}
-	ev := e.pop()
+	ev := e.events[0]
+	e.hole = true
 	e.now = ev.at
 	e.fired++
 	if e.Limit != 0 && e.fired > e.Limit {
@@ -236,6 +271,9 @@ func (e *Engine) Step() bool {
 			e.Now(), e.Pending(), e.fired))
 	}
 	ev.fn(ev.arg)
+	if e.hole {
+		e.closeHole()
+	}
 	return true
 }
 
@@ -262,6 +300,9 @@ func (e *Engine) Run() {
 // RunUntil executes events with timestamps <= t, then sets the clock to t
 // (if it has not already passed t). Events scheduled beyond t remain queued.
 func (e *Engine) RunUntil(t Time) {
+	if e.hole {
+		e.closeHole()
+	}
 	for !e.stopped && len(e.events) > 0 && e.events[0].at <= t {
 		e.Step()
 	}

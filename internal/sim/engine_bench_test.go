@@ -48,3 +48,33 @@ func BenchmarkEngineScheduleFireDepth(b *testing.B) {
 		e.Step()
 	}
 }
+
+// rescheduler is one standing event of BenchmarkEngineRescheduleDepth: it
+// fires, then reschedules itself period ns later.
+type rescheduler struct {
+	e      *Engine
+	period Time
+}
+
+func reschedule(a any) {
+	r := a.(*rescheduler)
+	r.e.AfterFunc(r.period, reschedule, r)
+}
+
+// BenchmarkEngineRescheduleDepth is the simulator's real pattern: a
+// 256-deep standing queue whose callbacks each push their own successor
+// with AfterFunc, so every Step takes the merged pop/push path. Periods
+// spread over 1-1000 ns, as on-chip, DRAM and device latencies do, so the
+// successor lands anywhere from the front of the queue to the back.
+func BenchmarkEngineRescheduleDepth(b *testing.B) {
+	e := NewEngine()
+	for i := 0; i < 256; i++ {
+		r := &rescheduler{e: e, period: Time(1 + i*37%1000)}
+		e.AtFunc(Time(1+i), reschedule, r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
