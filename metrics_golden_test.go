@@ -60,6 +60,27 @@ func TestMetricsGolden(t *testing.T) {
 				MeasureNs:   cfg.MeasureNs,
 			})
 		}},
+		// Write-heavy tiny objects on a GC-tight device: the one point whose
+		// digest moves if the per-access path drops the engine priority it
+		// stamps on early-pushed events (AtFuncPri), so it pins that
+		// tie-break order. Sized as the tinykv-update benchmark's ninth seed.
+		point{"closed/AstriFlash/tinykv-write", func(int) (Metrics, error) {
+			o := DefaultOptions(AstriFlash, "tinykv")
+			o.Cores = 8
+			o.DatasetBytes = 32 << 20
+			o.WriteFraction = 0.02
+			o.HotAccessFraction = 0.98
+			o.FlashChannels = 8
+			o.FlashBlocksPerPlane = 6
+			o.FlashPagesPerBlock = 16
+			o.AdmissionPolicy = "hit-economics"
+			o.Seed = 17418742259747381417
+			m, err := NewMachine(o)
+			if err != nil {
+				return Metrics{}, err
+			}
+			return m.RunSaturated(8, 10_000_000, 40_000_000), nil
+		}},
 	)
 
 	var b strings.Builder
