@@ -40,14 +40,15 @@ perfbench-check:
 lint-docs:
 	$(GO) run ./tools/lintdocs
 
-## Engine, Zipf and stats microbenchmarks (allocation counts included).
+## Engine, Zipf and stats microbenchmarks (allocation counts included),
+## plus the saturated closed-loop system run that times the per-access path.
 bench-engine:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkZipf|BenchmarkHotCold|BenchmarkHistogram' -benchmem ./internal/sim ./internal/mem ./internal/stats
+	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkZipf|BenchmarkHotCold|BenchmarkHistogram|BenchmarkSystemClosedLoop' -benchmem ./internal/sim ./internal/mem ./internal/stats ./internal/system
 
 ## The same microbenchmarks, one iteration each: CI runs this so a
 ## benchmark that no longer compiles or panics fails the build.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkZipf|BenchmarkHotCold|BenchmarkHistogram' -benchtime 1x ./internal/sim ./internal/mem ./internal/stats
+	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkZipf|BenchmarkHotCold|BenchmarkHistogram|BenchmarkSystemClosedLoop' -benchtime 1x ./internal/sim ./internal/mem ./internal/stats ./internal/system
 
 ## The full figure-suite benchmark harness.
 bench:

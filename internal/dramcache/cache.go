@@ -300,8 +300,8 @@ func (c *Cache) Preload(p mem.PageNum) {
 // machinery (MSR allocate, victim prep, flash fetch) all happen now,
 // exactly as in the callback form; the returned Result says whether the
 // access hit and when the reply (hit data or miss signal) reaches the
-// requester. Flattened callers consume the Result inline instead of
-// paying an event hop for the reply.
+// requester. Callers consume the Result inline instead of paying an
+// event hop for the reply.
 func (c *Cache) AccessSync(a mem.Access) Result {
 	now := c.eng.Now()
 	p := a.Page()
@@ -460,12 +460,6 @@ func (c *Cache) AccessAlwaysHitSync(a mem.Access) Result {
 	c.Accesses.Hit()
 	c.HitLat.Record(at - now)
 	return Result{Hit: true, At: at}
-}
-
-// AccessAlwaysHit is the callback form of AccessAlwaysHitSync.
-func (c *Cache) AccessAlwaysHit(a mem.Access, done func(Result)) {
-	r := c.AccessAlwaysHitSync(a)
-	c.eng.At(r.At, func() { done(r) })
 }
 
 // OnPageReady registers cb to fire when page p is installed (or, under

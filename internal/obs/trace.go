@@ -10,9 +10,9 @@ import (
 
 // SortSpans orders spans into the canonical trace order: sweep point,
 // then start and end time, then request, fetch, core, stage, and page.
-// Event-driven and flattened execution emit the same span *set* in
-// different interleavings; the canonical order makes trace files
-// byte-comparable across execution strategies.
+// Spans are emitted in event-firing order, which interleaves requests
+// and cores (and some stages emit ahead of their logical instant); the
+// canonical order makes trace files byte-comparable.
 func SortSpans(spans []Span) {
 	sort.Slice(spans, func(i, j int) bool {
 		a, b := spans[i], spans[j]

@@ -39,10 +39,10 @@ const (
 // pri is the event's scheduling time: the instant it was (logically)
 // pushed. For At/AtFunc it is simply Now() at push time, which makes the
 // (at, pri, seq) order identical to the historical (at, seq) order —
-// seq already increases with push time. AtFuncPri lets flattened hot
-// paths push an event early while stamping it with the time an unflattened
-// event chain would have pushed it, so same-instant events from different
-// cores still fire in the exact order the original chain produced.
+// seq already increases with push time. AtFuncPri lets code that runs a
+// stage ahead of its logical instant push an event early while stamping
+// it with the instant that stage pushes it at, so same-instant events from
+// different cores fire in per-stage order.
 type event struct {
 	at  Time
 	pri Time
@@ -216,10 +216,10 @@ func (e *Engine) AtFunc(t Time, fn func(any), arg any) {
 }
 
 // AtFuncPri schedules fn(arg) at absolute time t with an explicit logical
-// push time pri. Flattened per-access code uses it to schedule an event
-// "from the future": the callback fires at t but ties against other
-// time-t events as if it had been pushed at pri, reproducing the firing
-// order of the unflattened event chain exactly. pri is clamped to t
+// push time pri. The per-access path uses it to schedule an event "from
+// the future": the callback fires at t but ties against other time-t
+// events as if it had been pushed at pri, the logical instant of the
+// stage that pushes it. pri is clamped to t
 // (an event cannot logically be pushed after it fires) and, like every
 // scheduling call, t must not precede the clock.
 func (e *Engine) AtFuncPri(t, pri Time, fn func(any), arg any) {

@@ -42,9 +42,9 @@ func (a *attribution) add(s *System, b attrBucket, d int64) {
 	a.ns[b] += d
 }
 
-// attrAt charges d to bucket b as of logical event time at: the flattened
-// path's form of add, gated on the measurement window by the instant the
-// charging event would have fired rather than by the clock-driven
+// attrAt charges d to bucket b as of logical event time at: the form of
+// add for stages that run ahead of their logical instant, gated on the
+// measurement window by that instant rather than by the clock-driven
 // measuring flag (see measuredAt in observe.go).
 func (s *System) attrAt(b attrBucket, d int64, at int64) {
 	if d <= 0 || !s.measuredAt(at) {

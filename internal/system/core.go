@@ -43,8 +43,9 @@ type jobState struct {
 	// deadline is the absolute completion deadline (0 = none). A request
 	// finishing past it is counted as a deadline miss, not a good job.
 	deadline sim.Time
-	// dcIssued carries the step's DRAM-cache issue instant across the
-	// flattened path's allocation-free reply events (flat.go).
+	// dcIssued is the current step's DRAM-cache probe instant, carried to
+	// the probe's reply event (which is scheduled allocation-free, with the
+	// job as its only argument) for DRAM and miss-signal attribution.
 	dcIssued sim.Time
 }
 
@@ -118,11 +119,11 @@ func (s *System) newCore(id int) *coreState {
 			s.flash.Write(page, func(sim.Time) {})
 		}
 	}
+	// Only noDP walks are event-simulated; with a flat DRAM partition the
+	// walk is priced inline (access) and only counted by the walker.
 	var backend tlbvm.PTBackend
 	if s.cfg.Mode == AstriFlashNoDP {
 		backend = &dcBackend{dc: s.dc}
-	} else {
-		backend = &tlbvm.FlatBackend{Eng: s.eng, Latency: s.cfg.FlatPTAccessNs}
 	}
 	c.wkr = tlbvm.NewWalker(s.pt, backend)
 
@@ -143,11 +144,13 @@ func (s *System) newCore(id int) *coreState {
 }
 
 // Package-level event callbacks for the per-access hot path: scheduling
-// (top-level func, pointer arg) pairs through AfterFunc avoids a closure
-// allocation on every simulated compute/access/step transition.
-func jobAccessEvent(a any)     { j := a.(*jobState); j.core.access(j) }
+// (top-level func, pointer arg) pairs through AtFunc/AfterFunc avoids a
+// closure allocation on every simulated access/step transition.
+func jobWalkEvent(a any)       { j := a.(*jobState); j.core.walk(j) }
 func jobChipAccessEvent(a any) { j := a.(*jobState); j.core.chipAccess(j) }
 func jobDRAMAccessEvent(a any) { j := a.(*jobState); j.core.dramAccess(j) }
+func jobDCHitEvent(a any)      { j := a.(*jobState); j.core.dcHit(j) }
+func jobDCMissEvent(a any)     { j := a.(*jobState); j.core.dcMiss(j) }
 func jobStepDoneEvent(a any)   { j := a.(*jobState); j.core.stepDone(j) }
 func coreKickEvent(a any)      { a.(*coreState).kick() }
 
@@ -287,27 +290,27 @@ func (c *coreState) start(job *jobState, th *uthread.Thread, tk *ospaging.Task) 
 			c.s.attr.add(c.s, attrSched, c.s.eng.Now()-job.readyAt)
 			job.readyAt = 0
 		}
-		c.access(job)
+		now := c.s.eng.Now()
+		c.access(job, now, now, true)
 		return
 	}
 	c.runStep(job)
 }
 
-// runStep executes the compute phase of the job's next step.
+// runStep runs the job from the top of its next step: the compute phase,
+// then the step's memory reference. The clock equals the step's start
+// (steps begin at real events: a step-done, a DRAM-cache reply, a
+// dispatch).
 func (c *coreState) runStep(job *jobState) {
-	if c.s.flat {
-		c.flatAdvance(job, c.s.eng.Now())
-		return
-	}
 	if job.pc >= len(job.steps) {
 		c.complete(job)
 		return
 	}
 	step := job.steps[job.pc]
-	c.s.attr.add(c.s, attrCompute, step.ComputeNs)
 	now := c.s.eng.Now()
+	c.s.attr.add(c.s, attrCompute, step.ComputeNs)
 	c.span(job, obs.StageCompute, 0, now, now+step.ComputeNs)
-	c.s.eng.AfterFunc(step.ComputeNs, jobAccessEvent, job)
+	c.access(job, now, now+step.ComputeNs, false)
 }
 
 // complete retires the job and frees the core.
@@ -345,22 +348,75 @@ func (c *coreState) complete(job *jobState) {
 	c.s.freeJob(job)
 }
 
-// access performs the job's current step's memory reference: TLB, on-chip
-// hierarchy, then the DRAM cache.
-func (c *coreState) access(job *jobState) {
-	if c.s.flat {
-		now := c.s.eng.Now()
-		c.flatAccess(job, now, now, true)
-		return
-	}
+// The per-access pipeline is TLB, on-chip probe, DRAM-cache probe, then a
+// hit or a miss signal. Between true wait points every latency is a
+// deterministic sum, so the compute phase, the TLB probe and a
+// flat-partition walk run as straight-line code inside the event that
+// starts the step, and the next event is scheduled at the instant the step
+// first touches shared state: the on-chip probe (chipAccess), whose
+// handler refreshes DRAM-cache recency or issues the DRAM-cache probe.
+// Running stage code early is sound under three conditions:
+//
+//  1. Only private state moves. A core's TLB is touched only by that
+//     core's one running job (shootdowns are priced, never applied) and
+//     its counters are not in the metrics registry, so probing it when the
+//     step starts instead of at the probe's logical instant is
+//     unobservable. The on-chip probe, the DRAM-cache recency refresh and
+//     the DRAM-cache probe itself all run at their own logical instants.
+//
+//  2. Early pushes keep their tie-break order. The engine orders events
+//     by (at, pri, push sequence), where pri is the pushing event's time.
+//     An event pushed from stage code that runs ahead of its logical
+//     instant carries, through AtFuncPri, that stage's logical instant as
+//     its priority, so same-instant events across cores fire in per-stage
+//     order. The priority is observable: testdata/golden.trace.txt
+//     and the root package's golden.metrics.txt (closed/AstriFlash/
+//     tinykv-write) pin it.
+//
+//  3. Observation follows logical time. Attribution and spans of stages
+//     that run early are gated by measuredAt on the stage's logical
+//     instant, not by the clock-driven measuring flag (observe.go), so the
+//     measurement window cuts through the pipeline at logical instants.
+
+// access performs the step's memory reference. t0 is the instant the
+// step's access is issued (the step's start), t1 the TLB probe instant
+// (after the compute phase). resume marks the re-issued access of a thread regaining the
+// core, which probes the TLB inline at the current instant, so a noDP walk
+// must also start inline rather than from a new event.
+func (c *coreState) access(job *jobState, t0, t1 sim.Time, resume bool) {
 	step := job.steps[job.pc]
 	vpn := step.Access.Page()
 	if lat, hit := c.tlb.Lookup(vpn); hit {
-		now := c.s.eng.Now()
-		c.span(job, obs.StageTLB, uint64(vpn), now, now+lat)
-		c.s.eng.AfterFunc(lat, jobChipAccessEvent, job)
+		c.spanAt(t1, job, obs.StageTLB, uint64(vpn), t1, t1+lat)
+		c.s.eng.AtFuncPri(t1+lat, t1, jobChipAccessEvent, job)
 		return
 	}
+	if c.s.flatWalkNs > 0 {
+		// Flat-partition walk: levels x flat-DRAM access, a deterministic
+		// sum. The chip probe carries the priority of the walk's last
+		// level read, the stage that pushes it.
+		t2 := t1 + c.s.flatWalkNs
+		c.wkr.NoteWalk(c.s.flatWalkNs)
+		c.s.attrAt(attrWalk, c.s.flatWalkNs, t2)
+		c.spanAt(t2, job, obs.StageTLB, uint64(vpn), t1, t2)
+		c.tlb.Insert(vpn)
+		c.s.eng.AtFuncPri(t2, t2-c.s.cfg.FlatPTAccessNs, jobChipAccessEvent, job)
+		return
+	}
+	// noDP: the walk reads page-table pages through the DRAM cache (shared
+	// state), so it is event-simulated from t1.
+	if resume {
+		c.walk(job)
+		return
+	}
+	c.s.eng.AtFuncPri(t1, t0, jobWalkEvent, job)
+}
+
+// walk runs an event-simulated page-table walk from the current instant
+// (noDP, where table pages can miss to flash) and continues into the
+// on-chip probe when the leaf entry arrives.
+func (c *coreState) walk(job *jobState) {
+	vpn := job.steps[job.pc].Access.Page()
 	walkStart := c.s.eng.Now()
 	c.wkr.Walk(c.s.eng, vpn, func(at sim.Time) {
 		c.s.attr.add(c.s, attrWalk, at-walkStart)
@@ -387,39 +443,47 @@ func (c *coreState) chipAccess(job *jobState) {
 	c.s.eng.AfterFunc(r.Latency, jobDRAMAccessEvent, job)
 }
 
-// dramAccess probes the DRAM cache (or flat DRAM for DRAM-only).
+// dramAccess probes the DRAM cache (or flat DRAM for DRAM-only) at the
+// current instant and schedules the reply event where the cache's reply
+// lands.
 func (c *coreState) dramAccess(job *jobState) {
-	if c.s.flat {
-		c.flatDRAMAccess(job)
-		return
-	}
 	step := job.steps[job.pc]
-	issued := c.s.eng.Now()
+	job.dcIssued = c.s.eng.Now()
 	if c.s.cfg.Mode == DRAMOnly {
-		c.s.dc.AccessAlwaysHit(step.Access, func(r dramcache.Result) {
-			c.s.attr.add(c.s, attrDRAM, r.At-issued)
-			c.span(job, obs.StageDRAM, uint64(step.Access.Page()), issued, r.At)
-			c.hier.Fill(step.Access)
-			c.stepDone(job)
-		})
+		r := c.s.dc.AccessAlwaysHitSync(step.Access)
+		c.s.eng.AtFunc(r.At, jobDCHitEvent, job)
 		return
 	}
-	c.s.dc.Access(step.Access, func(r dramcache.Result) {
-		if r.Hit {
-			c.s.attr.add(c.s, attrDRAM, r.At-issued)
-			c.span(job, obs.StageDRAM, uint64(step.Access.Page()), issued, r.At)
-			job.faultRetries = 0
-			if job.hasPin {
-				c.s.dc.Unpin(job.pinnedPage)
-				job.hasPin = false
-			}
-			c.hier.Fill(step.Access)
-			c.stepDone(job)
-			return
-		}
-		c.span(job, obs.StageMissSignal, uint64(step.Access.Page()), issued, r.At)
-		c.onDRAMMiss(job)
-	})
+	r := c.s.dc.AccessSync(step.Access)
+	if r.Hit {
+		c.s.eng.AtFunc(r.At, jobDCHitEvent, job)
+		return
+	}
+	c.s.eng.AtFunc(r.At, jobDCMissEvent, job)
+}
+
+// dcHit is the DRAM-cache reply for a hit: fill the on-chip hierarchy
+// and retire the step.
+func (c *coreState) dcHit(job *jobState) {
+	at := c.s.eng.Now()
+	step := job.steps[job.pc]
+	c.s.attr.add(c.s, attrDRAM, at-job.dcIssued)
+	c.span(job, obs.StageDRAM, uint64(step.Access.Page()), job.dcIssued, at)
+	job.faultRetries = 0
+	if job.hasPin {
+		c.s.dc.Unpin(job.pinnedPage)
+		job.hasPin = false
+	}
+	c.hier.Fill(step.Access)
+	c.stepDone(job)
+}
+
+// dcMiss is the DRAM-cache reply for a miss: the miss signal, handed to
+// the configured miss mechanism.
+func (c *coreState) dcMiss(job *jobState) {
+	at := c.s.eng.Now()
+	c.span(job, obs.StageMissSignal, uint64(job.steps[job.pc].Access.Page()), job.dcIssued, at)
+	c.onDRAMMiss(job)
 }
 
 // stepDone advances the job past a completed access.
@@ -502,10 +566,9 @@ func (c *coreState) userThreadMiss(job *jobState) {
 	th := c.sched.Running()
 	page := job.steps[job.pc].Access.Page()
 
-	blockOn, switched := c.sched.OnMiss(now)
+	_, switched := c.sched.OnMiss(now)
 	if !switched {
 		// Pending queue full: block on this thread synchronously.
-		_ = blockOn
 		if c.s.measuring {
 			c.s.ForcedSync.Inc()
 		}

@@ -92,21 +92,20 @@ func (s *System) tr() *obs.Tracer {
 }
 
 // measuredAt reports whether an event at logical time t lies inside the
-// run's measurement window. The flattened path (flat.go) executes stage
-// code ahead of its logical event time, so gating on the measuring flag
-// (the clock's view) would mis-window inline stages; the bounds are known
-// before the run starts, so logical-time gating reproduces exactly what
-// an event firing at t would have observed. The window is half-open on
-// the left because the drivers flip measuring after draining events at
-// the warmup instant itself.
+// run's measurement window. The per-access path runs stage code ahead of
+// its logical instant (core.go), so gating such a stage on the measuring
+// flag (the clock's view) would mis-window it; the bounds are known before
+// the run starts, so logical-time gating observes exactly what an event
+// firing at t observes. The window is half-open on the left because the
+// drivers flip measuring after draining events at the warmup instant
+// itself.
 func (s *System) measuredAt(t sim.Time) bool {
 	return t > s.mStart && t <= s.mEnd
 }
 
-// spanAt records a request-scoped span emitted at logical event time
-// evTime: the flattened path's span helper, gated on the measurement
-// window by logical time (measuredAt) so inline-executed stages trace
-// exactly as their unflattened events would have.
+// spanAt records a request-scoped span of a stage whose logical instant
+// is evTime, gated on the measurement window by that instant (measuredAt)
+// rather than by the clock, for stages that run ahead of it.
 func (c *coreState) spanAt(evTime sim.Time, job *jobState, st obs.Stage, page uint64, start, end sim.Time) {
 	if c.s.trace == nil || end <= start || !c.s.measuredAt(evTime) {
 		return

@@ -9,9 +9,6 @@ import (
 	"astriflash/internal/workload"
 )
 
-// onJobDone, when set by a driver, fires after each completion (closed-
-// loop replenishment).
-
 // Result summarizes one run's measurement window. The root package
 // exports it as astriflash.Metrics.
 //
@@ -226,8 +223,8 @@ func (s *System) RunClosedLoop(inflightPerCore int, warmupNs, measureNs int64) R
 	s.onJobDone = func(c *coreState) {
 		s.spawnJob(c, s.eng.Now())
 	}
-	// The window bounds are fixed up front so the flattened path can gate
-	// inline-executed stages by logical event time (measuredAt).
+	// The window bounds are fixed up front so stages that run ahead of
+	// their logical instant are gated by that instant (measuredAt).
 	s.mStart, s.mEnd = warmupNs, warmupNs+measureNs
 	for _, c := range s.cores {
 		for i := 0; i < inflightPerCore; i++ {

@@ -123,12 +123,6 @@ type Config struct {
 	// single run exceeds this much wall-clock time. 0 means no deadline.
 	RunDeadline time.Duration
 
-	// LegacyEvents restores the unflattened per-access event chain (one
-	// event per pipeline stage). The flattened path (flat.go) is the
-	// default and produces bit-identical results; the legacy chain is
-	// kept as the oracle for differential tests.
-	LegacyEvents bool
-
 	// FlatPTAccessNs prices one page-table level in the flat DRAM
 	// partition (all modes except noDP).
 	FlatPTAccessNs int64
@@ -213,12 +207,10 @@ type System struct {
 	// measuring gates statistics to the measurement window.
 	measuring bool
 	// mStart/mEnd delimit the measurement window in simulated time so
-	// flattened code can gate observation by logical event time instead
-	// of the clock-driven measuring flag (measuredAt in observe.go). Set
-	// by the drivers before any event runs.
+	// stage code running ahead of its logical instant can gate observation
+	// by that instant instead of the clock-driven measuring flag
+	// (measuredAt in observe.go). Set by the drivers before any event runs.
 	mStart, mEnd sim.Time
-	// flat selects the flattened per-access path (default; flat.go).
-	flat bool
 	// flatWalkNs is the deterministic page-table walk latency for modes
 	// with the flat DRAM partition; 0 for noDP, where walks go through
 	// the DRAM cache and stay event-simulated.
@@ -340,7 +332,6 @@ func New(cfg Config) (*System, error) {
 		MissInterval: stats.NewHistogram(),
 	}
 	s.pt = pt
-	s.flat = !cfg.LegacyEvents
 	if cfg.Mode != AstriFlashNoDP {
 		s.flatWalkNs = int64(pt.Levels()) * cfg.FlatPTAccessNs
 	}

@@ -194,8 +194,8 @@ func (w *Walker) Walk(eng *sim.Engine, vpn mem.PageNum, done func(at sim.Time)) 
 
 // NoteWalk records a walk whose latency the caller computed inline: with
 // a flat-partition backend every level is a fixed-latency read, so the
-// walk is a deterministic sum (PT.Levels() x per-level latency) and the
-// flattened hot path folds it into straight-line code instead of one
+// walk is a deterministic sum (PT.Levels() x per-level latency) that the
+// system's per-access path prices in straight-line code instead of one
 // event per level. The counters advance exactly as Walk would.
 func (w *Walker) NoteWalk(lat int64) {
 	w.Walks.Inc()
