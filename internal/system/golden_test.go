@@ -64,21 +64,21 @@ func TestFlatMatchesLegacyOpenLoop(t *testing.T) {
 	}}})
 }
 
+// attrGoldenFile pins the latency attribution of the same point matrix:
+// each line is a point name followed by bucket=ns for every attribution
+// bucket in presentation order. The span golden does not cover attribution,
+// so a shifted attribution gate is caught only here. Regenerated by the
+// same -update run as traceGoldenFile.
+const attrGoldenFile = "testdata/golden.attr.txt"
+
 // checkTraceGolden runs each point with tracing attached and compares its
-// line with the one of the same name in traceGoldenFile. With -update it
-// rewrites those lines in place, appending points the file lacks.
+// lines with the ones of the same name in traceGoldenFile and
+// attrGoldenFile. With -update it rewrites those lines in place, appending
+// points a file lacks.
 func checkTraceGolden(t *testing.T, points []tracePoint) {
 	t.Helper()
-	data, err := os.ReadFile(traceGoldenFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	index := make(map[string]int, len(lines))
-	for i, l := range lines {
-		name, _, _ := strings.Cut(l, " ")
-		index[name] = i
-	}
+	traces := loadGolden(t, traceGoldenFile)
+	attrs := loadGolden(t, attrGoldenFile)
 	for _, p := range points {
 		s, err := New(testConfig(p.mode, p.wl))
 		if err != nil {
@@ -90,26 +90,89 @@ func checkTraceGolden(t *testing.T, points []tracePoint) {
 		spans := tr.Spans()
 		obs.SortSpans(spans)
 		name := fmt.Sprintf("%s/%v/%s", p.kind, p.mode, p.wl)
-		got := fmt.Sprintf("%s %x %d %x", name,
-			sha256.Sum256([]byte(fmt.Sprintf("%+v", res))), len(spans), spanDigest(spans))
-		i, ok := index[name]
-		switch {
-		case *updateGolden && ok:
-			lines[i] = got
-		case *updateGolden:
-			index[name] = len(lines)
-			lines = append(lines, got)
-		case !ok:
-			t.Errorf("%s: no line in %s (rerun with -update to add it)", name, traceGoldenFile)
-		case lines[i] != got:
-			t.Errorf("%s: result or spans diverged from %s (rerun with -update if intentional):\n got: %s\nwant: %s",
-				name, traceGoldenFile, got, lines[i])
-		}
+		traces.check(t, name, fmt.Sprintf("%s %x %d %x", name,
+			sha256.Sum256([]byte(fmt.Sprintf("%+v", res))), len(spans), spanDigest(spans)))
+		attrs.check(t, name, attrLine(name, s))
 	}
-	if *updateGolden {
-		if err := os.WriteFile(traceGoldenFile, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	traces.save(t)
+	attrs.save(t)
+}
+
+// TestFaultAttributionGolden pins the flash-retry bucket, which is zero on
+// the fault-free matrix: a closed loop whose flash reads climb the retry
+// ladder and, past it, fall back to recovered copies.
+func TestFaultAttributionGolden(t *testing.T) {
+	cfg := testConfig(AstriFlash, "tatp")
+	cfg.Flash.RBER = 4e-3
+	cfg.Flash.PEFailProb = 1e-3
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closedRun(s)
+	attrs := loadGolden(t, attrGoldenFile)
+	attrs.check(t, "faults/AstriFlash/tatp", attrLine("faults/AstriFlash/tatp", s))
+	attrs.save(t)
+}
+
+// attrLine renders s's latency attribution as one golden line.
+func attrLine(name string, s *System) string {
+	for _, b := range s.LatencyBreakdown() {
+		name += fmt.Sprintf(" %s=%d", b.Bucket, b.Ns)
+	}
+	return name
+}
+
+// goldenLines is a golden file of lines that each begin with a point name
+// and a space.
+type goldenLines struct {
+	path  string
+	lines []string
+	index map[string]int
+}
+
+func loadGolden(t *testing.T, path string) *goldenLines {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &goldenLines{path: path, lines: strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")}
+	g.index = make(map[string]int, len(g.lines))
+	for i, l := range g.lines {
+		name, _, _ := strings.Cut(l, " ")
+		g.index[name] = i
+	}
+	return g
+}
+
+// check compares got with the line named name; with -update it replaces
+// that line instead, or appends got when the file has none.
+func (g *goldenLines) check(t *testing.T, name, got string) {
+	t.Helper()
+	i, ok := g.index[name]
+	switch {
+	case *updateGolden && ok:
+		g.lines[i] = got
+	case *updateGolden:
+		g.index[name] = len(g.lines)
+		g.lines = append(g.lines, got)
+	case !ok:
+		t.Errorf("%s: no line in %s (rerun with -update to add it)", name, g.path)
+	case g.lines[i] != got:
+		t.Errorf("%s: diverged from %s (rerun with -update if intentional):\n got: %s\nwant: %s",
+			name, g.path, got, g.lines[i])
+	}
+}
+
+// save writes the file back under -update.
+func (g *goldenLines) save(t *testing.T) {
+	t.Helper()
+	if !*updateGolden {
+		return
+	}
+	if err := os.WriteFile(g.path, []byte(strings.Join(g.lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
