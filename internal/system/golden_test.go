@@ -9,7 +9,10 @@ import (
 	"strings"
 	"testing"
 
+	"astriflash/internal/loadgen"
 	"astriflash/internal/obs"
+	"astriflash/internal/overload"
+	"astriflash/internal/sim"
 )
 
 var updateGolden = flag.Bool("update", false, "regenerate testdata golden files")
@@ -93,6 +96,7 @@ func checkTraceGolden(t *testing.T, points []tracePoint) {
 		traces.check(t, name, fmt.Sprintf("%s %x %d %x", name,
 			sha256.Sum256([]byte(fmt.Sprintf("%+v", res))), len(spans), spanDigest(spans)))
 		attrs.check(t, name, attrLine(name, s))
+		checkWindow(t, name, s, res, false)
 	}
 	traces.save(t)
 	attrs.save(t)
@@ -113,6 +117,53 @@ func TestFaultAttributionGolden(t *testing.T) {
 	attrs := loadGolden(t, attrGoldenFile)
 	attrs.check(t, "faults/AstriFlash/tatp", attrLine("faults/AstriFlash/tatp", s))
 	attrs.save(t)
+}
+
+// TestWindowIdentitiesWithDeadline runs an overloaded open loop with
+// deadlines, expiry shedding and CoDel admission, so some completions make
+// their deadline and some miss it.
+func TestWindowIdentitiesWithDeadline(t *testing.T) {
+	s, err := New(testConfig(AstriFlash, "tatp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := s.RunSource(SourceConfig{
+		Arrivals: func(rng *sim.RNG) loadgen.Arrivals {
+			return loadgen.NewPoisson(rng, 1_000)
+		},
+		Controller:  overload.NewCoDel(50_000, 500_000),
+		DeadlineNs:  100_000,
+		DropExpired: true,
+		WarmupNs:    2_000_000,
+		MeasureNs:   4_000_000,
+	})
+	if res.GoodJobs == 0 || res.DeadlineMisses == 0 {
+		t.Fatalf("want both good jobs and deadline misses, got %d and %d", res.GoodJobs, res.DeadlineMisses)
+	}
+	checkWindow(t, "deadline/AstriFlash/tatp", s, res, true)
+}
+
+// checkWindow asserts that the window's counter deltas and its
+// distributions count the same completions: Jobs, the jobs_done delta and
+// the response histogram agree, and every completion of a run with
+// deadlines is either a good job or a deadline miss (a run without
+// deadlines has neither).
+func checkWindow(t *testing.T, name string, s *System, res Result, deadline bool) {
+	t.Helper()
+	done := res.Counters["system.jobs_done"]
+	resp := s.Metrics().HistogramByName("system.response_ns").Count()
+	if res.Jobs != done || res.Jobs != resp {
+		t.Errorf("%s: Jobs %d, system.jobs_done delta %d, system.response_ns count %d: want all equal",
+			name, res.Jobs, done, resp)
+	}
+	want := uint64(0)
+	if deadline {
+		want = res.Jobs
+	}
+	if got := res.GoodJobs + res.DeadlineMisses; got != want {
+		t.Errorf("%s: GoodJobs %d + DeadlineMisses %d = %d, want %d",
+			name, res.GoodJobs, res.DeadlineMisses, got, want)
+	}
 }
 
 // attrLine renders s's latency attribution as one golden line.
