@@ -5,6 +5,8 @@ package system
 // configuration — the quantitative form of the paper's Section II-C
 // overhead taxonomy (core-side vs memory-side).
 
+import "astriflash/internal/sim"
+
 // attrBucket labels one attribution category.
 type attrBucket int
 
@@ -26,31 +28,15 @@ var attrNames = [attrBucketCount]string{
 	"compute", "on-chip", "pt-walk", "dram-cache", "flash-wait", "flash-retry", "scheduling", "os-paging",
 }
 
-// attribution accumulates per-bucket nanoseconds during the measurement
-// window. Buckets overlap wall-clock (flash waits of parked threads run
-// concurrently with other jobs' compute), so totals are request-time, not
-// core-time.
-type attribution struct {
-	ns [attrBucketCount]int64
-}
-
-// add charges d nanoseconds to bucket b when the system is measuring.
-func (a *attribution) add(s *System, b attrBucket, d int64) {
-	if !s.measuring || d <= 0 {
-		return
-	}
-	a.ns[b] += d
-}
-
-// attrAt charges d to bucket b as of logical event time at: the form of
-// add for stages that run ahead of their logical instant, gated on the
-// measurement window by that instant rather than by the clock-driven
-// measuring flag (see measuredAt in observe.go).
-func (s *System) attrAt(b attrBucket, d int64, at int64) {
+// attrAt charges d nanoseconds to bucket b when the charge's logical
+// instant at lies inside the measurement window (measuredAt). Buckets
+// overlap wall-clock (flash waits of parked threads run concurrently with
+// other jobs' compute), so totals are request-time, not core-time.
+func (s *System) attrAt(b attrBucket, d int64, at sim.Time) {
 	if d <= 0 || !s.measuredAt(at) {
 		return
 	}
-	s.attr.ns[b] += d
+	s.attr[b] += d
 }
 
 // Breakdown is the exported per-bucket view.
@@ -65,16 +51,16 @@ type Breakdown struct {
 // presentation-ordered, with fractions of the attributed total.
 func (s *System) LatencyBreakdown() []Breakdown {
 	var total int64
-	for _, v := range s.attr.ns {
+	for _, v := range s.attr {
 		total += v
 	}
 	out := make([]Breakdown, 0, attrBucketCount)
 	for b := attrBucket(0); b < attrBucketCount; b++ {
 		frac := 0.0
 		if total > 0 {
-			frac = float64(s.attr.ns[b]) / float64(total)
+			frac = float64(s.attr[b]) / float64(total)
 		}
-		out = append(out, Breakdown{Bucket: attrNames[b], Ns: s.attr.ns[b], Fraction: frac})
+		out = append(out, Breakdown{Bucket: attrNames[b], Ns: s.attr[b], Fraction: frac})
 	}
 	return out
 }

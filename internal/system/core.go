@@ -283,14 +283,14 @@ func (c *coreState) start(job *jobState, th *uthread.Thread, tk *ospaging.Task) 
 	}
 	if job.atAccess {
 		job.atAccess = false
-		c.emitMissTail(job, c.s.eng.Now())
+		now := c.s.eng.Now()
+		c.emitMissTail(job, now)
 		if job.readyAt > 0 {
 			// Time between the page arriving and the thread regaining
 			// the core is scheduling delay.
-			c.s.attr.add(c.s, attrSched, c.s.eng.Now()-job.readyAt)
+			c.s.attrAt(attrSched, now-job.readyAt, now)
 			job.readyAt = 0
 		}
-		now := c.s.eng.Now()
 		c.access(job, now, now, true)
 		return
 	}
@@ -308,8 +308,8 @@ func (c *coreState) runStep(job *jobState) {
 	}
 	step := job.steps[job.pc]
 	now := c.s.eng.Now()
-	c.s.attr.add(c.s, attrCompute, step.ComputeNs)
-	c.span(job, obs.StageCompute, 0, now, now+step.ComputeNs)
+	c.s.attrAt(attrCompute, step.ComputeNs, now)
+	c.spanAt(now, job, obs.StageCompute, 0, now, now+step.ComputeNs)
 	c.access(job, now, now+step.ComputeNs, false)
 }
 
@@ -324,9 +324,9 @@ func (c *coreState) complete(job *jobState) {
 			c.s.GoodJobs.Inc()
 		}
 	}
-	if c.s.measuring {
+	c.s.JobsDone.Inc()
+	if c.s.measuredAt(now) {
 		c.s.recorder.Complete(&job.req)
-		c.s.JobsDone.Inc()
 	}
 	if t := c.s.tr(); t != nil {
 		t.Emit(obs.Span{Req: job.req.ID, Core: c.id, Stage: obs.StageComplete, Start: now, End: now})
@@ -373,9 +373,9 @@ func (c *coreState) complete(job *jobState) {
 //     and the root package's golden.metrics.txt (closed/AstriFlash/
 //     tinykv-write) pin it.
 //
-//  3. Observation follows logical time. Attribution and spans of stages
-//     that run early are gated by measuredAt on the stage's logical
-//     instant, not by the clock-driven measuring flag (observe.go), so the
+//  3. Observation follows logical time. Attribution and spans are gated
+//     by measuredAt (observe.go) on the logical instant of the stage they
+//     record, which for a stage that runs early is not the clock, so the
 //     measurement window cuts through the pipeline at logical instants.
 
 // access performs the step's memory reference. t0 is the instant the
@@ -419,8 +419,9 @@ func (c *coreState) walk(job *jobState) {
 	vpn := job.steps[job.pc].Access.Page()
 	walkStart := c.s.eng.Now()
 	c.wkr.Walk(c.s.eng, vpn, func(at sim.Time) {
-		c.s.attr.add(c.s, attrWalk, at-walkStart)
-		c.span(job, obs.StageTLB, uint64(vpn), walkStart, at)
+		now := c.s.eng.Now()
+		c.s.attrAt(attrWalk, at-walkStart, now)
+		c.spanAt(now, job, obs.StageTLB, uint64(vpn), walkStart, at)
 		c.tlb.Insert(vpn)
 		c.chipAccess(job)
 	})
@@ -430,9 +431,9 @@ func (c *coreState) walk(job *jobState) {
 func (c *coreState) chipAccess(job *jobState) {
 	step := job.steps[job.pc]
 	r := c.hier.Access(step.Access)
-	c.s.attr.add(c.s, attrOnChip, r.Latency)
 	now := c.s.eng.Now()
-	c.span(job, obs.StageOnChip, 0, now, now+r.Latency)
+	c.s.attrAt(attrOnChip, r.Latency, now)
+	c.spanAt(now, job, obs.StageOnChip, 0, now, now+r.Latency)
 	if !r.ToDRAM {
 		// The reference is served on chip; refresh the page's recency so
 		// the DRAM cache's replacement policy sees the reuse.
@@ -467,8 +468,8 @@ func (c *coreState) dramAccess(job *jobState) {
 func (c *coreState) dcHit(job *jobState) {
 	at := c.s.eng.Now()
 	step := job.steps[job.pc]
-	c.s.attr.add(c.s, attrDRAM, at-job.dcIssued)
-	c.span(job, obs.StageDRAM, uint64(step.Access.Page()), job.dcIssued, at)
+	c.s.attrAt(attrDRAM, at-job.dcIssued, at)
+	c.spanAt(at, job, obs.StageDRAM, uint64(step.Access.Page()), job.dcIssued, at)
 	job.faultRetries = 0
 	if job.hasPin {
 		c.s.dc.Unpin(job.pinnedPage)
@@ -482,7 +483,7 @@ func (c *coreState) dcHit(job *jobState) {
 // the configured miss mechanism.
 func (c *coreState) dcMiss(job *jobState) {
 	at := c.s.eng.Now()
-	c.span(job, obs.StageMissSignal, uint64(job.steps[job.pc].Access.Page()), job.dcIssued, at)
+	c.spanAt(at, job, obs.StageMissSignal, uint64(job.steps[job.pc].Access.Page()), job.dcIssued, at)
 	c.onDRAMMiss(job)
 }
 
@@ -501,11 +502,9 @@ func (c *coreState) onDRAMMiss(job *jobState) {
 	if c.s.dcMissHook != nil {
 		c.s.dcMissHook(job.steps[job.pc].Access.Page())
 	}
-	if c.s.measuring {
-		c.s.MissSignals.Inc()
-		if c.hasMissed {
-			c.s.MissInterval.Record(now - c.lastMissAt)
-		}
+	c.s.MissSignals.Inc()
+	if c.hasMissed && c.s.measuredAt(now) {
+		c.s.MissInterval.Record(now - c.lastMissAt)
 	}
 	c.hasMissed = true
 	c.lastMissAt = now
@@ -545,8 +544,9 @@ func (c *coreState) syncWait(job *jobState) {
 	start := c.s.eng.Now()
 	c.s.dc.OnPageReady(page, func(at sim.Time) {
 		c.s.noteFlashExpiry(job, start, at)
-		c.s.attr.add(c.s, attrFlash, at-start)
-		c.span(job, obs.StageSyncWait, uint64(page), start, at)
+		now := c.s.eng.Now()
+		c.s.attrAt(attrFlash, at-start, now)
+		c.spanAt(now, job, obs.StageSyncWait, uint64(page), start, at)
 		c.dramAccess(job)
 	})
 }
@@ -556,9 +556,7 @@ func (c *coreState) syncWait(job *jobState) {
 func (c *coreState) userThreadMiss(job *jobState) {
 	if job.forced {
 		// Forward-progress bit set: complete synchronously at FC.
-		if c.s.measuring {
-			c.s.ForcedSync.Inc()
-		}
+		c.s.ForcedSync.Inc()
 		c.syncWait(job)
 		return
 	}
@@ -569,9 +567,7 @@ func (c *coreState) userThreadMiss(job *jobState) {
 	_, switched := c.sched.OnMiss(now)
 	if !switched {
 		// Pending queue full: block on this thread synchronously.
-		if c.s.measuring {
-			c.s.ForcedSync.Inc()
-		}
+		c.s.ForcedSync.Inc()
 		c.syncWait(job)
 		return
 	}
@@ -581,7 +577,7 @@ func (c *coreState) userThreadMiss(job *jobState) {
 	c.s.dc.OnPageReady(page, func(at sim.Time) {
 		c.s.noteFlashExpiry(job, job.missAt, at)
 		job.readyAt = at
-		c.s.attr.add(c.s, attrFlash, at-job.missAt)
+		c.s.attrAt(attrFlash, at-job.missAt, c.s.eng.Now())
 		c.sched.NotifyReady(th, at)
 		if !c.busy {
 			c.kick()
@@ -592,7 +588,7 @@ func (c *coreState) userThreadMiss(job *jobState) {
 	// Pipeline flush (the ROB is half full on average when the miss signal
 	// arrives) plus the user-level thread switch.
 	cost := c.missCost()
-	c.s.attr.add(c.s, attrSched, cost)
+	c.s.attrAt(attrSched, cost, now)
 	c.s.eng.AfterFunc(cost, coreKickEvent, c)
 }
 
@@ -617,11 +613,12 @@ func (c *coreState) osFault(job *jobState) {
 	c.runq.Block(now)
 	c.s.dc.OnPageReady(page, func(at sim.Time) {
 		c.s.noteFlashExpiry(job, job.missAt, at)
-		c.s.attr.add(c.s, attrFlash, at-job.missAt)
+		now := c.s.eng.Now()
+		c.s.attrAt(attrFlash, at-job.missAt, now)
 		installDone := c.s.kernel.InstallPage(at)
-		c.s.attr.add(c.s, attrOS, installDone-at)
-		c.span(job, obs.StageFlashWait, uint64(page), job.missAt, at)
-		c.span(job, obs.StageOSInstall, uint64(page), at, installDone)
+		c.s.attrAt(attrOS, installDone-at, now)
+		c.spanAt(now, job, obs.StageFlashWait, uint64(page), job.missAt, at)
+		c.spanAt(now, job, obs.StageOSInstall, uint64(page), at, installDone)
 		c.s.eng.At(installDone, func() {
 			job.readyAt = installDone
 			c.runq.Wake(tk)
@@ -635,7 +632,7 @@ func (c *coreState) osFault(job *jobState) {
 	// The core spends the fault path plus one context switch before the
 	// next task runs.
 	resumeAt := faultDone + c.s.kernel.ContextSwitch()
-	c.s.attr.add(c.s, attrOS, resumeAt-now)
+	c.s.attrAt(attrOS, resumeAt-now, now)
 	c.s.eng.AtFunc(resumeAt, coreKickEvent, c)
 }
 

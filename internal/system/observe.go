@@ -79,49 +79,37 @@ func (s *System) Timeline() *timeline.Sampler { return s.sampler }
 // Tracer returns the attached tracer, or nil.
 func (s *System) Tracer() *obs.Tracer { return s.trace }
 
-// tr returns the tracer when spans should be recorded, else nil. Request
-// capture follows the measurement window so trace size tracks the window;
-// requests straddling the window edge appear as partial span sets, which
-// the analyzer detects (they lack the queue span or complete marker) and
-// excludes.
+// measuredAt reports whether logical time t lies inside the measurement
+// window (mStart, mEnd]: the one rule that windows every distribution,
+// attribution charge and span. Code observes at the logical instant of what
+// it records, which for stage code running ahead of its instant (core.go)
+// is not the clock. The window is open on the left because measure starts
+// it after RunUntil has fired every event at the warmup instant itself.
+func (s *System) measuredAt(t sim.Time) bool {
+	return t > s.mStart && t <= s.mEnd
+}
+
+// tr returns the tracer when spans at the current instant should be
+// recorded, else nil. Request capture follows the measurement window so
+// trace size tracks the window; requests straddling the window edge appear
+// as partial span sets, which the analyzer detects (they lack the queue
+// span or complete marker) and excludes.
 func (s *System) tr() *obs.Tracer {
-	if s.measuring {
+	if s.trace != nil && s.measuredAt(s.eng.Now()) {
 		return s.trace
 	}
 	return nil
 }
 
-// measuredAt reports whether an event at logical time t lies inside the
-// run's measurement window. The per-access path runs stage code ahead of
-// its logical instant (core.go), so gating such a stage on the measuring
-// flag (the clock's view) would mis-window it; the bounds are known before
-// the run starts, so logical-time gating observes exactly what an event
-// firing at t observes. The window is half-open on the left because the
-// drivers flip measuring after draining events at the warmup instant
-// itself.
-func (s *System) measuredAt(t sim.Time) bool {
-	return t > s.mStart && t <= s.mEnd
-}
-
-// spanAt records a request-scoped span of a stage whose logical instant
-// is evTime, gated on the measurement window by that instant (measuredAt)
-// rather than by the clock, for stages that run ahead of it.
-func (c *coreState) spanAt(evTime sim.Time, job *jobState, st obs.Stage, page uint64, start, end sim.Time) {
-	if c.s.trace == nil || end <= start || !c.s.measuredAt(evTime) {
+// spanAt records a request-scoped span of a stage whose logical instant is
+// at, dropping zero-length segments (stage markers with real zero duration
+// would only bloat the stream; the queue span and complete marker are
+// emitted directly, not through this helper).
+func (c *coreState) spanAt(at sim.Time, job *jobState, st obs.Stage, page uint64, start, end sim.Time) {
+	if c.s.trace == nil || end <= start || !c.s.measuredAt(at) {
 		return
 	}
 	c.s.trace.Emit(obs.Span{Req: job.req.ID, Core: c.id, Stage: st, Page: page, Start: start, End: end})
-}
-
-// span records one request-scoped span, dropping zero-length segments
-// (stage markers with real zero duration would only bloat the stream; the
-// complete marker is emitted directly, not through this helper).
-func (c *coreState) span(job *jobState, st obs.Stage, page uint64, start, end sim.Time) {
-	t := c.s.tr()
-	if t == nil || end <= start {
-		return
-	}
-	t.Emit(obs.Span{Req: job.req.ID, Core: c.id, Stage: st, Page: page, Start: start, End: end})
 }
 
 // missCost is the descheduling price of one miss: ROB flush plus the
@@ -137,8 +125,7 @@ func (c *coreState) missCost() int64 {
 // flush+switch, the flash wait, and the post-ready scheduling delay.
 // Emitted lazily at resume because only then are all boundaries known.
 func (c *coreState) emitMissTail(job *jobState, now sim.Time) {
-	t := c.s.tr()
-	if t == nil {
+	if c.s.tr() == nil {
 		return
 	}
 	page := uint64(job.steps[job.pc].Access.Page())
@@ -158,15 +145,15 @@ func (c *coreState) emitMissTail(job *jobState, now sim.Time) {
 		if ready < se {
 			ready = se
 		}
-		c.span(job, obs.StageFlushSwitch, page, job.missAt, se)
-		c.span(job, obs.StageFlashWait, page, se, ready)
-		c.span(job, obs.StageSchedWait, page, ready, now)
+		c.spanAt(now, job, obs.StageFlushSwitch, page, job.missAt, se)
+		c.spanAt(now, job, obs.StageFlashWait, page, se, ready)
+		c.spanAt(now, job, obs.StageSchedWait, page, ready, now)
 	case c.runq != nil:
 		// flash-wait and os-install were emitted by the fault's
 		// OnPageReady callback; only the run-queue delay remains.
 		if ready <= 0 || ready > now {
 			ready = now
 		}
-		c.span(job, obs.StageSchedWait, page, ready, now)
+		c.spanAt(now, job, obs.StageSchedWait, page, ready, now)
 	}
 }

@@ -141,14 +141,36 @@ func (s *System) nextJobSteps(buf []workload.Step) []workload.Step {
 	return s.wl.NewJob().Steps
 }
 
-// snapshot freezes the registry's cumulative counters at measurement
-// start so collect can report steady-state (window-only) values.
-func (s *System) snapshot() map[string]uint64 {
-	return s.metrics.CounterSnapshot()
+// measure fixes the measurement window (start, end], runs load (the
+// driver's work at instant 0, which the window's bounds already gate),
+// the warmup up to start and the window, and collects the window's Result.
+// With drain set, requests still in flight at end run to completion inside
+// the window (open loop: tail samples are complete), so its logical end
+// never comes. Tracing and the timeline sampler are armed over the window
+// only; the sampler stops at end, so a drain runs sampler-free.
+func (s *System) measure(start, end sim.Time, drain bool, load func()) Result {
+	s.mStart, s.mEnd = start, end
+	if drain {
+		s.mEnd = math.MaxInt64
+	}
+	load()
+	s.eng.RunUntil(start)
+	s.dc.Trace = s.trace
+	if s.sampler != nil {
+		s.sampler.Start(s.eng, start, end)
+	}
+	snap := s.metrics.CounterSnapshot()
+	s.eng.RunUntil(end)
+	if drain {
+		s.eng.Run()
+	}
+	s.dc.Trace = nil
+	return s.collect(end-start, snap)
 }
 
-// collect builds the Result for the measurement window from the registry's
-// window deltas.
+// collect builds the Result for the measurement window: every count from
+// the registry's window delta, every distribution from the histograms
+// measuredAt gated to the window.
 func (s *System) collect(windowNs int64, snap map[string]uint64) Result {
 	rec := s.recorder
 	d := s.metrics.CounterDelta(snap)
@@ -159,14 +181,14 @@ func (s *System) collect(windowNs int64, snap map[string]uint64) Result {
 		missRatio = float64(dMisses) / float64(dHits+dMisses)
 	}
 	meanIval := int64(0)
-	if s.MissSignals.Value() > 0 {
-		meanIval = windowNs * int64(len(s.cores)) / int64(s.MissSignals.Value())
+	if n := d["system.miss_signals"]; n > 0 {
+		meanIval = windowNs * int64(len(s.cores)) / int64(n)
 	}
 	res := Result{
 		Mode:               s.cfg.Mode.String(),
 		Workload:           s.wl.Name(),
 		SimulatedNs:        windowNs,
-		Jobs:               s.JobsDone.Value(),
+		Jobs:               d["system.jobs_done"],
 		ThroughputJPS:      rec.Throughput(windowNs),
 		MeanServiceNs:      int64(rec.Service.Mean()),
 		P50ServiceNs:       rec.Service.Percentile(50),
@@ -181,7 +203,7 @@ func (s *System) collect(windowNs int64, snap map[string]uint64) Result {
 		FlashWrites:        d["flash.writes"],
 		GCRuns:             d["flash.gc_runs"],
 		GCBlockedFraction:  s.flash.BlockedReadFraction(),
-		ForcedSyncCount:    s.ForcedSync.Value(),
+		ForcedSyncCount:    d["system.forced_sync"],
 		P99FlashReadNs:     s.flash.ReadLatHist.Percentile(99),
 
 		FlashRetriedReads:   d["flash.retried_reads"],
@@ -223,27 +245,13 @@ func (s *System) RunClosedLoop(inflightPerCore int, warmupNs, measureNs int64) R
 	s.onJobDone = func(c *coreState) {
 		s.spawnJob(c, s.eng.Now())
 	}
-	// The window bounds are fixed up front so stages that run ahead of
-	// their logical instant are gated by that instant (measuredAt).
-	s.mStart, s.mEnd = warmupNs, warmupNs+measureNs
-	for _, c := range s.cores {
-		for i := 0; i < inflightPerCore; i++ {
-			s.spawnJob(c, 0)
+	return s.measure(warmupNs, warmupNs+measureNs, false, func() {
+		for _, c := range s.cores {
+			for i := 0; i < inflightPerCore; i++ {
+				s.spawnJob(c, 0)
+			}
 		}
-	}
-	s.eng.RunUntil(warmupNs)
-	s.measuring = true
-	if s.trace != nil {
-		s.dc.Trace = s.trace
-	}
-	if s.sampler != nil {
-		s.sampler.Start(s.eng, warmupNs, warmupNs+measureNs)
-	}
-	snap := s.snapshot()
-	s.eng.RunUntil(warmupNs + measureNs)
-	s.measuring = false
-	s.dc.Trace = nil
-	return s.collect(measureNs, snap)
+	})
 }
 
 // RunOpenLoop drives Poisson arrivals at the given mean inter-arrival gap
@@ -333,10 +341,6 @@ func (s *System) RunSource(cfg SourceConfig) Result {
 	}
 	arr := cfg.Arrivals(s.rng.Split())
 	inSystem := 0
-	// Open-loop runs drain in-flight requests past the window end with
-	// measurement still on ("tail samples are complete" below), so the
-	// logical window never closes.
-	s.mStart, s.mEnd = cfg.WarmupNs, math.MaxInt64
 	s.dropExpired = cfg.DropExpired
 	s.expiryMarginNs = cfg.ExpiryMarginNs
 	s.onJobDone = func(*coreState) { inSystem-- }
@@ -372,21 +376,7 @@ func (s *System) RunSource(cfg SourceConfig) Result {
 		}
 		s.eng.After(sim.Time(arr.NextGap()), schedule)
 	}
-	s.eng.After(sim.Time(arr.NextGap()), schedule)
-	s.eng.RunUntil(cfg.WarmupNs)
-	s.measuring = true
-	if s.trace != nil {
-		s.dc.Trace = s.trace
-	}
-	if s.sampler != nil {
-		// The sampler stops at end, so the drain below runs sampler-free.
-		s.sampler.Start(s.eng, cfg.WarmupNs, end)
-	}
-	snap := s.snapshot()
-	s.eng.RunUntil(end)
-	// Drain: let in-flight requests finish so tail samples are complete.
-	s.eng.Run()
-	s.measuring = false
-	s.dc.Trace = nil
-	return s.collect(cfg.MeasureNs, snap)
+	return s.measure(cfg.WarmupNs, end, true, func() {
+		s.eng.After(sim.Time(arr.NextGap()), schedule)
+	})
 }

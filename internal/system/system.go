@@ -204,12 +204,10 @@ type System struct {
 	pt     *tlbvm.PageTable
 
 	recorder *loadgen.Recorder
-	// measuring gates statistics to the measurement window.
-	measuring bool
-	// mStart/mEnd delimit the measurement window in simulated time so
-	// stage code running ahead of its logical instant can gate observation
-	// by that instant instead of the clock-driven measuring flag
-	// (measuredAt in observe.go). Set by the drivers before any event runs.
+	// mStart/mEnd delimit the measurement window (mStart, mEnd] in
+	// simulated time; measuredAt (observe.go) gates every distribution,
+	// attribution charge and span by it. Set by measure (run.go) before
+	// the driver's first job or arrival.
 	mStart, mEnd sim.Time
 	// flatWalkNs is the deterministic page-table walk latency for modes
 	// with the flat DRAM partition; 0 for noDP, where walks go through
@@ -235,8 +233,9 @@ type System struct {
 
 	// dcMissHook, when set, observes every DRAM-cache miss page (diagnostics).
 	dcMissHook func(p mem.PageNum)
-	// attr accumulates latency attribution during measurement.
-	attr attribution
+	// attr accumulates the measurement window's request time per
+	// attribution bucket (attrAt).
+	attr [attrBucketCount]int64
 
 	// metrics names every component counter/gauge/histogram (observe.go).
 	metrics *obs.Registry
@@ -248,6 +247,8 @@ type System struct {
 	// reqSeq numbers requests so spans can be correlated per request.
 	reqSeq uint64
 
+	// Counters count over the whole run; Result reports their deltas over
+	// the measurement window (collect).
 	JobsDone     stats.Counter
 	MissSignals  stats.Counter
 	ForcedSync   stats.Counter
@@ -338,7 +339,7 @@ func New(cfg Config) (*System, error) {
 	s.stepReuser, _ = wl.(workload.StepReuser)
 	// Retry-ladder and recovery time surfaces as its own attribution
 	// bucket (a sub-slice of flash-wait, zero when faults are off).
-	fl.RetryHook = func(ns int64) { s.attr.add(s, attrFlashRetry, ns) }
+	fl.RetryHook = func(ns int64) { s.attrAt(attrFlashRetry, ns, eng.Now()) }
 	if cfg.RunDeadline > 0 {
 		eng.Deadline(cfg.RunDeadline)
 	}
