@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test verify vet race verify-race fmt-check perfbench-check lint-docs bench bench-engine bench-smoke bench-json bench-diff figures trace-smoke timeline-smoke overload-smoke economics-smoke
+.PHONY: build test verify vet race verify-race fmt-check perfbench-check lint-docs bench bench-engine bench-smoke fuzz-smoke bench-json bench-diff figures trace-smoke timeline-smoke overload-smoke economics-smoke
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,11 @@ bench-engine:
 ## benchmark that no longer compiles or panics fails the build.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkZipf|BenchmarkHotCold|BenchmarkHistogram|BenchmarkSystemClosedLoop' -benchtime 1x ./internal/sim ./internal/mem ./internal/stats ./internal/system
+
+## Native Go fuzzing of the SLO parser for 10 s: every objective ParseSLO
+## accepts must be in range and reparse from its own rendered name.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzParseSLO -fuzztime 10s ./internal/obs/timeline
 
 ## The full figure-suite benchmark harness.
 bench:

@@ -2,6 +2,7 @@ package timeline
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -96,7 +97,7 @@ func ParseSLO(spec string) (SLO, error) {
 		return SLO{}, fmt.Errorf("timeline: SLO %q: percentile must look like p99", spec)
 	}
 	pct, err := strconv.ParseFloat(pctStr[1:], 64)
-	if err != nil || pct <= 0 || pct >= 100 {
+	if err != nil || !(pct > 0 && pct < 100) { // NaN fails both comparisons
 		return SLO{}, fmt.Errorf("timeline: SLO %q: bad percentile %q", spec, pctStr)
 	}
 	thr, err := parseDurNs(strings.TrimSpace(s[lt+1:]))
@@ -107,7 +108,13 @@ func ParseSLO(spec string) (SLO, error) {
 	return NewLatencySLO(name, metric, pct, thr), nil
 }
 
-// parseDurNs parses "150us", "1.5ms", "2s", "300" (bare ns) to nanoseconds.
+// maxDurNs bounds parsed durations at 10^15 ns (about 11.6 days). Below it
+// fmtDurNs renders every duration exactly, in at most 15 significant
+// digits, and parseDurNs reads the rendering back to the same nanosecond.
+const maxDurNs = 1e15
+
+// parseDurNs parses "150us", "1.5ms", "2s", "300" (bare ns) to nanoseconds,
+// rounded to the nearest nanosecond.
 func parseDurNs(s string) (int64, error) {
 	mult := float64(1)
 	switch {
@@ -124,7 +131,11 @@ func parseDurNs(s string) (int64, error) {
 	if err != nil || v < 0 {
 		return 0, fmt.Errorf("bad duration %q", s)
 	}
-	return int64(v * mult), nil
+	ns := math.Round(v * mult)
+	if !(ns <= maxDurNs) { // NaN fails the comparison
+		return 0, fmt.Errorf("duration %q out of range [0, %d] ns", s, int64(maxDurNs))
+	}
+	return int64(ns), nil
 }
 
 // fmtDurNs renders nanoseconds compactly ("150us", "1.5ms").

@@ -116,26 +116,75 @@ func TestNewRejectsUnknownSLOMetric(t *testing.T) {
 	}
 }
 
+// parseSLOCases are well-formed objectives and what they parse to.
+var parseSLOCases = []struct {
+	spec, metric string
+	pct          float64
+	thrNs        int64
+}{
+	{"p99<150us", "system.response_ns", 99, 150_000},
+	{"system.service_ns:p99.9<1.5ms", "system.service_ns", 99.9, 1_500_000},
+	// Thresholds round to the nearest ns: 1.007 is 1.00699… in binary.
+	{"p99<1.007us", "system.response_ns", 99, 1_007},
+	{"p50<2.0004ns", "system.response_ns", 50, 2},
+	{"p99<2s", "system.response_ns", 99, 2_000_000_000},
+	{"p99<300", "system.response_ns", 99, 300},
+	{"p99<1e15", "system.response_ns", 99, 1e15},
+}
+
+// badSLOSpecs must all fail to parse.
+var badSLOSpecs = []string{
+	"", "p99", "99<1ms", "p0<1ms", "p100<1ms", "p99<weird", "pNaN<1ms",
+	"p99<-1us", "p99<inf", "p99<-inf", "p99<NaN", "p99<1e300s", "p99<1000000000000001",
+}
+
 func TestParseSLO(t *testing.T) {
-	s, err := ParseSLO("p99<150us")
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range parseSLOCases {
+		s, err := ParseSLO(c.spec)
+		if err != nil {
+			t.Errorf("ParseSLO(%q): %v", c.spec, err)
+			continue
+		}
+		if s.Metric != c.metric || s.Percentile != c.pct || s.ThresholdNs != c.thrNs || s.Target != c.pct/100 {
+			t.Errorf("ParseSLO(%q) = %+v, want metric %s, p%v, threshold %d ns", c.spec, s, c.metric, c.pct, c.thrNs)
+		}
 	}
-	if s.Metric != "system.response_ns" || s.Percentile != 99 || s.ThresholdNs != 150_000 || s.Target != 0.99 {
-		t.Fatalf("bad parse: %+v", s)
-	}
-	s, err = ParseSLO("system.service_ns:p99.9<1.5ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Metric != "system.service_ns" || s.Percentile != 99.9 || s.ThresholdNs != 1_500_000 {
-		t.Fatalf("bad parse: %+v", s)
-	}
-	for _, bad := range []string{"", "p99", "99<1ms", "p0<1ms", "p100<1ms", "p99<weird"} {
+	for _, bad := range badSLOSpecs {
 		if _, err := ParseSLO(bad); err == nil {
 			t.Errorf("ParseSLO(%q) should fail", bad)
 		}
 	}
+	// Every threshold reparses from its own rendered name.
+	for thr := int64(1_000); thr <= 3_000_000; thr += 7 {
+		name := "p99<" + fmtDurNs(thr)
+		if s, err := ParseSLO(name); err != nil || s.ThresholdNs != thr || s.Name != name {
+			t.Fatalf("threshold %d ns renders as %q, which parses to %+v (%v)", thr, name, s, err)
+		}
+	}
+}
+
+// FuzzParseSLO checks that any objective ParseSLO accepts is in range and
+// that its rendered name parses back to the same percentile and threshold.
+func FuzzParseSLO(f *testing.F) {
+	for _, c := range parseSLOCases {
+		f.Add(c.spec)
+	}
+	for _, bad := range badSLOSpecs {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ParseSLO(spec)
+		if err != nil {
+			return
+		}
+		if s.ThresholdNs < 0 || !(s.Percentile > 0 && s.Percentile < 100) {
+			t.Fatalf("ParseSLO(%q) = %+v: threshold or percentile out of range", spec, s)
+		}
+		again, err := ParseSLO(s.Metric + ":" + s.Name)
+		if err != nil || again.Percentile != s.Percentile || again.ThresholdNs != s.ThresholdNs {
+			t.Fatalf("ParseSLO(%q) = %+v, but its name %q reparses to %+v (%v)", spec, s, s.Name, again, err)
+		}
+	})
 }
 
 // mkSample builds an SLO-evaluation sample with the given good/bad split.
