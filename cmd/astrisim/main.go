@@ -229,8 +229,9 @@ func main() {
 }
 
 // printRegistry renders the full registry view: counter deltas over the
-// measurement window, gauges at run end, and cumulative histogram
-// summaries — sorted, aligned, one table per kind.
+// measurement window, gauges at run end, and histogram summaries (the
+// system.* histograms record the measurement window only, the device ones
+// the whole run) — sorted, aligned, one table per kind.
 func printRegistry(machine *astriflash.Machine, res astriflash.Metrics) {
 	names := make([]string, 0, len(res.Counters))
 	for n := range res.Counters {
@@ -262,7 +263,7 @@ func printRegistry(machine *astriflash.Machine, res astriflash.Metrics) {
 			ht.AddRow(n, fmt.Sprintf("%d", h.Count),
 				fmt.Sprintf("%.1f", float64(h.P50Ns)/1000), fmt.Sprintf("%.1f", float64(h.P99Ns)/1000))
 		}
-		fmt.Println("\nregistry histograms (cumulative over the run):")
+		fmt.Println("\nregistry histograms (system.*: measurement window; others: whole run, warmup included):")
 		fmt.Print(ht.String())
 	}
 }

@@ -147,7 +147,7 @@ func (r *Registry) HistogramSnapshot() map[string]HistStat {
 	return out
 }
 
-// Histogram returns the named histogram, or nil.
+// HistogramByName returns the named histogram, or nil.
 func (r *Registry) HistogramByName(name string) *stats.Histogram { return r.hists[name] }
 
 // HistogramNames returns the registered histogram names, sorted.
