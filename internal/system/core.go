@@ -613,12 +613,12 @@ func (c *coreState) osFault(job *jobState) {
 	c.runq.Block(now)
 	c.s.dc.OnPageReady(page, func(at sim.Time) {
 		c.s.noteFlashExpiry(job, job.missAt, at)
-		now := c.s.eng.Now()
-		c.s.attrAt(attrFlash, at-job.missAt, now)
+		fired := c.s.eng.Now()
+		c.s.attrAt(attrFlash, at-job.missAt, fired)
 		installDone := c.s.kernel.InstallPage(at)
-		c.s.attrAt(attrOS, installDone-at, now)
-		c.spanAt(now, job, obs.StageFlashWait, uint64(page), job.missAt, at)
-		c.spanAt(now, job, obs.StageOSInstall, uint64(page), at, installDone)
+		c.s.attrAt(attrOS, installDone-at, fired)
+		c.spanAt(fired, job, obs.StageFlashWait, uint64(page), job.missAt, at)
+		c.spanAt(fired, job, obs.StageOSInstall, uint64(page), at, installDone)
 		c.s.eng.At(installDone, func() {
 			job.readyAt = installDone
 			c.runq.Wake(tk)

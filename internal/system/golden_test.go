@@ -69,9 +69,10 @@ func TestFlatMatchesLegacyOpenLoop(t *testing.T) {
 
 // attrGoldenFile pins the latency attribution of the same point matrix:
 // each line is a point name followed by bucket=ns for every attribution
-// bucket in presentation order. The span golden does not cover attribution,
-// so a shifted attribution gate is caught only here. Regenerated by the
-// same -update run as traceGoldenFile.
+// bucket in presentation order, plus a faulted point. The span golden does
+// not cover attribution, so a shifted attribution gate is caught only here.
+// Regenerate after an intentional model change with:
+// go test ./internal/system -run 'TestFlatMatchesLegacy|TestFaultAttributionGolden' -update
 const attrGoldenFile = "testdata/golden.attr.txt"
 
 // checkTraceGolden runs each point with tracing attached and compares its
@@ -113,10 +114,12 @@ func TestFaultAttributionGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	closedRun(s)
+	res := closedRun(s)
+	const name = "faults/AstriFlash/tatp"
 	attrs := loadGolden(t, attrGoldenFile)
-	attrs.check(t, "faults/AstriFlash/tatp", attrLine("faults/AstriFlash/tatp", s))
+	attrs.check(t, name, attrLine(name, s))
 	attrs.save(t)
+	checkWindow(t, name, s, res, false)
 }
 
 // TestWindowIdentitiesWithDeadline runs an overloaded open loop with
