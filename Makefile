@@ -41,14 +41,15 @@ lint-docs:
 	$(GO) run ./tools/lintdocs
 
 ## Engine, Zipf and stats microbenchmarks (allocation counts included),
-## plus the saturated closed-loop system run that times the per-access path.
+## the saturated closed-loop system run that times the per-access path, and
+## the 32 MB TATP build with its host bytes per dataset byte.
 bench-engine:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkZipf|BenchmarkHotCold|BenchmarkHistogram|BenchmarkSystemClosedLoop' -benchmem ./internal/sim ./internal/mem ./internal/stats ./internal/system
+	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkZipf|BenchmarkHotCold|BenchmarkHistogram|BenchmarkSystemClosedLoop|BenchmarkTATPBuild' -benchmem ./internal/sim ./internal/mem ./internal/stats ./internal/system ./internal/workload
 
 ## The same microbenchmarks, one iteration each: CI runs this so a
 ## benchmark that no longer compiles or panics fails the build.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkZipf|BenchmarkHotCold|BenchmarkHistogram|BenchmarkSystemClosedLoop' -benchtime 1x ./internal/sim ./internal/mem ./internal/stats ./internal/system
+	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkZipf|BenchmarkHotCold|BenchmarkHistogram|BenchmarkSystemClosedLoop|BenchmarkTATPBuild' -benchtime 1x ./internal/sim ./internal/mem ./internal/stats ./internal/system ./internal/workload
 
 ## Native Go fuzzing of the SLO parser for 10 s: every objective ParseSLO
 ## accepts must be in range and reparse from its own rendered name.

@@ -29,9 +29,18 @@ type BPTree struct {
 	// slab is the current node chunk; nodes are handed out as pointers
 	// into it (stable: a full chunk is replaced, never regrown), so bulk
 	// loading a store costs one allocation per chunk instead of one per
-	// node plus a grow-chain per key array.
+	// node.
 	slab []bpNode
+	// words and kids are the current chunks of the packed arrays: Append
+	// moves each node it finishes (the left half of a split) out of its
+	// fanout+1 arrays into exactly-sized slices of these, so an
+	// ascending build holds each key, value and child pointer once.
+	words []uint64
+	kids  []*bpNode
 }
+
+// packChunk is the element count of each new words or kids chunk.
+const packChunk = 1 << 14
 
 // NewBPTree returns an empty tree. Fanout is the max keys per node; 256
 // eight-byte keys plus pointers fill a 4 KB page.
@@ -44,14 +53,22 @@ func NewBPTree(arena *mem.Arena, fanout int) *BPTree {
 	return t
 }
 
-func (t *BPTree) newNode(leaf bool) *bpNode {
+// takeNode hands out the next node from the slab with the next arena page
+// and no key or payload arrays.
+func (t *BPTree) takeNode(leaf bool) *bpNode {
 	if len(t.slab) == cap(t.slab) {
 		t.slab = make([]bpNode, 0, 64)
 	}
 	t.slab = append(t.slab, bpNode{addr: t.arena.AllocPage(), leaf: leaf})
-	n := &t.slab[len(t.slab)-1]
-	// Key and payload arrays are sized for the node's whole life up front
-	// (a node splits at fanout+1), so inserts never regrow them.
+	return &t.slab[len(t.slab)-1]
+}
+
+// newNode is takeNode with empty key and payload arrays sized for a node
+// still being filled (a node splits at fanout+1), so inserts never regrow
+// them. A node Append has finished holds exactly-sized packed arrays
+// instead; an Insert into one copies out on its first append.
+func (t *BPTree) newNode(leaf bool) *bpNode {
+	n := t.takeNode(leaf)
 	n.keys = make([]uint64, 0, t.fanout+1)
 	if leaf {
 		n.vals = make([]uint64, 0, t.fanout+1)
@@ -161,13 +178,83 @@ func (t *BPTree) Scan(key uint64, count int, tr *Tracer) []uint64 {
 func (t *BPTree) Insert(key, val uint64, tr *Tracer) {
 	promoted, newChild := t.insert(t.root, key, val, tr)
 	if newChild != nil {
-		newRoot := t.newNode(false)
-		newRoot.keys = append(newRoot.keys, promoted)
-		newRoot.children = append(newRoot.children, t.root, newChild)
-		t.root = newRoot
-		t.height++
-		tr.Touch(newRoot.addr, true)
+		tr.Touch(t.growRoot(promoted, newChild).addr, true)
 	}
+}
+
+// growRoot puts a new root above the old one and its split-off sibling.
+func (t *BPTree) growRoot(promoted uint64, right *bpNode) *bpNode {
+	root := t.newNode(false)
+	root.keys = append(root.keys, promoted)
+	root.children = append(root.children, t.root, right)
+	t.root = root
+	t.height++
+	return root
+}
+
+// Append adds key, which must exceed every stored key, without tracing:
+// the build path for tables filled in ascending key order. It follows the
+// rightmost spine with no search and splits at Insert's midpoints in
+// Insert's order, so it takes arena pages exactly where Insert would and
+// builds the same tree, node addresses included, even when several trees
+// share an arena. The left half of a split never receives another
+// appended key, so it is packed; the right half, the new rightmost node
+// of its level, takes over the split node's arrays.
+func (t *BPTree) Append(key, val uint64) {
+	promoted, right := t.appendTo(t.root, key, val)
+	if right != nil {
+		t.growRoot(promoted, right)
+	}
+}
+
+func (t *BPTree) appendTo(n *bpNode, key, val uint64) (uint64, *bpNode) {
+	if n.leaf {
+		if last := len(n.keys) - 1; last >= 0 && key <= n.keys[last] {
+			panic(fmt.Sprintf("workload: B+tree Append of key %d not above max key %d", key, n.keys[last]))
+		}
+		n.keys = append(n.keys, key)
+		n.vals = append(n.vals, val)
+		t.size++
+		if len(n.keys) <= t.fanout {
+			return 0, nil
+		}
+		mid := len(n.keys) / 2
+		right := t.takeNode(true)
+		right.keys, n.keys = splitOff(n.keys, mid, mid, &t.words)
+		right.vals, n.vals = splitOff(n.vals, mid, mid, &t.words)
+		right.next, n.next = n.next, right
+		return right.keys[0], right
+	}
+	promoted, child := t.appendTo(n.children[len(n.children)-1], key, val)
+	if child == nil {
+		return 0, nil
+	}
+	n.keys = append(n.keys, promoted)
+	n.children = append(n.children, child)
+	if len(n.keys) <= t.fanout {
+		return 0, nil
+	}
+	mid := len(n.keys) / 2
+	promoted = n.keys[mid]
+	right := t.takeNode(false)
+	right.keys, n.keys = splitOff(n.keys, mid+1, mid, &t.words)
+	right.children, n.children = splitOff(n.children, mid+1, mid+1, &t.kids)
+	return promoted, right
+}
+
+// splitOff splits a node array for Append. The head s[:keep] is copied to
+// the end of the chunk *slab (a new chunk when it does not fit) as a slice
+// with cap == len, so an append to it copies out rather than writing over
+// the next packed node's elements. The tail s[from:] moves to the front
+// of s's own array, which the right sibling keeps.
+func splitOff[T any](s []T, from, keep int, slab *[]T) (tail, head []T) {
+	c := *slab
+	if cap(c)-len(c) < keep {
+		c = make([]T, 0, max(packChunk, keep))
+	}
+	c = append(c, s[:keep]...)
+	*slab = c
+	return s[:copy(s, s[from:])], c[len(c)-keep : len(c) : len(c)]
 }
 
 // insert descends recursively; on split it returns the promoted separator

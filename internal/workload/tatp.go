@@ -29,9 +29,10 @@ type TATP struct {
 // footprint.
 func NewTATP(cfg Config) *TATP {
 	arena := mem.NewArena(0, cfg.DatasetBytes)
-	// Each subscriber contributes ~3.5 tree entries; leaves average ~70%
-	// fill (~150 entries per page). Budget pages so the arena holds all
-	// three trees with internal-node slack.
+	// Each subscriber contributes 3.5 tree entries. The tables are built
+	// in ascending key order, so every leaf but the last holds fanout/2 =
+	// 128 entries: at 30 subscribers per dataset page the three trees take
+	// ~83% of the arena's pages, internal nodes included.
 	subs := cfg.DatasetBytes / 4096 * 150 / 5
 	if subs < 1024 {
 		subs = 1024
@@ -44,22 +45,17 @@ func NewTATP(cfg Config) *TATP {
 		specialFac:  NewBPTree(arena, 256),
 		subs:        subs,
 	}
-	sink := NewTracer(1)
 	rng := newRNG(cfg, 0x7a79)
 	for s := uint64(0); s < subs; s++ {
-		t.subscribers.Insert(s, rng.Uint64(), sink)
+		t.subscribers.Append(s, rng.Uint64())
 		// 1-4 access-info rows per subscriber in real TATP; model 2.
-		t.accessInfo.Insert(s*4, rng.Uint64(), sink)
-		t.accessInfo.Insert(s*4+1, rng.Uint64(), sink)
+		t.accessInfo.Append(s*4, rng.Uint64())
+		t.accessInfo.Append(s*4+1, rng.Uint64())
 		// One special-facility row in two.
 		if s%2 == 0 {
-			t.specialFac.Insert(s, rng.Uint64(), sink)
-		}
-		if sink.Len() > 1<<16 {
-			sink.Discard()
+			t.specialFac.Append(s, rng.Uint64())
 		}
 	}
-	sink.Discard()
 	// Subscriber ids key the trees directly, so hot subscribers occupy
 	// contiguous leaves (~50 effective items per hot page across the
 	// three tables).

@@ -46,10 +46,11 @@ const (
 func NewTPCC(cfg Config) *TPCC {
 	// Reserve half the arena as order/order-line insert headroom.
 	arena := mem.NewArena(0, cfg.DatasetBytes*2)
-	// Entries: items + stock (x warehouses) + customers. B+tree leaves
-	// average ~70% fill, so budget ~150 entries per dataset page and
-	// split the budget: stock = 4 x items takes half, customers a
-	// quarter, items an eighth, leaving slack for internal nodes.
+	// Entries: items + stock (x warehouses) + customers, ~150 per dataset
+	// page: stock = 4 x items takes half, customers a quarter, items an
+	// eighth. Every table is filled in ascending order within each key
+	// range, so leaves hold fanout/2 = 128 entries and the tables take
+	// ~103% of DatasetBytes, the excess out of the order headroom.
 	totalEntries := cfg.DatasetBytes / 4096 * 150
 	items := totalEntries / 8
 	if items < 4096 {
@@ -74,22 +75,21 @@ func NewTPCC(cfg Config) *TPCC {
 		items:      items,
 		custPerD:   custPerD,
 	}
+	// Every table but stock is keyed in loop order, so it is appended;
+	// stockKey interleaves one key range per warehouse.
 	sink := NewTracer(1)
 	rng := newRNG(cfg, 0x79cc)
 	for w := uint64(0); w < warehouses; w++ {
-		t.warehouse.Insert(w, rng.Uint64(), sink)
+		t.warehouse.Append(w, rng.Uint64())
 		for d := uint64(0); d < tpccDistrictsPerW; d++ {
-			t.district.Insert(w*tpccDistrictsPerW+d, rng.Uint64(), sink)
+			t.district.Append(w*tpccDistrictsPerW+d, rng.Uint64())
 			for c := uint64(0); c < custPerD; c++ {
-				t.customer.Insert(t.custKey(w, d, c), rng.Uint64(), sink)
+				t.customer.Append(t.custKey(w, d, c), rng.Uint64())
 			}
-		}
-		if sink.Len() > 1<<16 {
-			sink.Discard()
 		}
 	}
 	for i := uint64(0); i < items; i++ {
-		t.item.Insert(i, rng.Uint64(), sink)
+		t.item.Append(i, rng.Uint64())
 		for w := uint64(0); w < warehouses; w++ {
 			t.stock.Insert(t.stockKey(w, i), rng.Uint64(), sink)
 		}

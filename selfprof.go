@@ -187,17 +187,17 @@ type BenchReport struct {
 // BenchSchema versions the report format.
 const BenchSchema = "astriflash-bench/v1"
 
+// benchExperiment is one named entry of the profiling suite.
+type benchExperiment struct {
+	name string
+	run  func() error
+}
+
 // benchExperiments is the fixed suite BenchSuite profiles: small enough to
 // finish in about a minute, broad enough to cover the closed-loop, open-
 // loop, sweep-parallel, and timeline-sampled paths.
-func benchExperiments(cfg ExpConfig) []struct {
-	name string
-	run  func() error
-} {
-	return []struct {
-		name string
-		run  func() error
-	}{
+func benchExperiments(cfg ExpConfig) []benchExperiment {
+	return []benchExperiment{
 		{"saturated/dram-only/tatp", func() error {
 			_, err := cfg.run(DRAMOnly, "tatp")
 			return err
@@ -228,8 +228,9 @@ func benchExperiments(cfg ExpConfig) []struct {
 		}},
 		// Full-scale paper configuration: 16 cores over a 2 GB dataset,
 		// the sizing the paper's figures use. Construction at this scale
-		// is the stressor (half a million flash pages, a ~55M-key B+tree
-		// bulk load), so the record tracks build+run wall end to end.
+		// is the stressor (half a million flash pages, ~55M keys appended
+		// in ascending order to the TATP trees), so the record tracks
+		// build+run wall end to end.
 		{"full-scale/astriflash/tatp", func() error {
 			c := cfg
 			c.Cores = 16
@@ -243,6 +244,10 @@ func benchExperiments(cfg ExpConfig) []struct {
 // BenchSuite runs the fixed profiling suite and assembles the report.
 // date is stamped verbatim (callers pass the host date, YYYY-MM-DD).
 func BenchSuite(cfg ExpConfig, date string) (*BenchReport, error) {
+	return benchSuite(cfg, date, benchExperiments(cfg))
+}
+
+func benchSuite(cfg ExpConfig, date string, exps []benchExperiment) (*BenchReport, error) {
 	rep := &BenchReport{
 		Schema:     BenchSchema,
 		Date:       date,
@@ -254,7 +259,7 @@ func BenchSuite(cfg ExpConfig, date string) (*BenchReport, error) {
 		MeasureMs:  cfg.MeasureNs / 1_000_000,
 		Seed:       cfg.Seed,
 	}
-	for _, exp := range benchExperiments(cfg) {
+	for _, exp := range exps {
 		before := SelfProfile()
 		var ms0 runtime.MemStats
 		runtime.ReadMemStats(&ms0)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -252,22 +253,28 @@ func TestGoldenTimelineReproducible(t *testing.T) {
 	}
 }
 
-// TestBenchReportSchema guards the trajectory format: the suite must stamp
-// the schema constant and a record per experiment with nonzero profiling.
+// TestBenchReportSchema guards the trajectory format on the suite's first
+// experiment: the report must stamp the schema constant and a record with
+// nonzero profiling. The whole suite, 2 GB full-scale point included, runs
+// under `make bench-json`; here only its listing is checked.
 func TestBenchReportSchema(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench suite in -short")
 	}
 	cfg := quickExpConfig()
-	rep, err := BenchSuite(cfg, "2026-01-01")
+	exps := benchExperiments(cfg)
+	if !slices.ContainsFunc(exps, func(e benchExperiment) bool { return e.name == "full-scale/astriflash/tatp" }) {
+		t.Fatal("suite no longer lists the full-scale paper point")
+	}
+	rep, err := benchSuite(cfg, "2026-01-01", exps[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Schema != BenchSchema || rep.Date != "2026-01-01" {
 		t.Fatalf("header wrong: %+v", rep)
 	}
-	if len(rep.Records) == 0 {
-		t.Fatal("no records")
+	if len(rep.Records) != 1 || rep.Records[0].Name != exps[0].name {
+		t.Fatalf("records %+v, want one for %s", rep.Records, exps[0].name)
 	}
 	for _, r := range rep.Records {
 		if r.Points == 0 || r.Events == 0 || r.EventsPerSec <= 0 {
